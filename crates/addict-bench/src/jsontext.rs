@@ -7,8 +7,14 @@
 //! token so integer fields (`n_xcts`, seeds) never round-trip through an
 //! `f64`. This is deliberately *not* a general JSON library: duplicate
 //! keys are rejected (a job spec with two `n_xcts` fields is as ambiguous
-//! as two `--xcts` flags), and `\uXXXX` escapes are out of scope for the
-//! ASCII identifiers the protocol carries.
+//! as two `--xcts` flags), `\uXXXX` escapes are out of scope for the
+//! ASCII identifiers the protocol carries, and nesting deeper than
+//! [`MAX_DEPTH`] is an error rather than a stack overflow.
+
+/// Deepest accepted nesting of arrays and objects. Protocol documents nest
+/// at most a few levels (a job spec three); the limit keeps a body of
+/// nothing but `[` from recursing the reader off its thread's stack.
+pub const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value. Numbers keep their raw text.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +38,7 @@ impl JsonValue {
     pub fn parse(s: &str) -> Result<JsonValue, String> {
         let b = s.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -140,12 +146,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parse one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -208,7 +219,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -217,7 +228,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -230,7 +241,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut fields: Vec<(String, JsonValue)> = Vec::new();
     skip_ws(b, pos);
@@ -245,7 +256,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("duplicate key {key:?}"));
         }
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -297,6 +308,23 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+        // A whole maximum-size request body of `[` is one short error.
+        let err = JsonValue::parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

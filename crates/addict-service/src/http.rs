@@ -12,13 +12,21 @@
 //! Sockets carry read/write deadlines (set by the server before parsing):
 //! a stalled or slow-loris client surfaces as [`ReadError::Timeout`],
 //! which the server answers with `408` instead of pinning a connection
-//! worker forever.
+//! worker forever. The request line, each header line, the number of
+//! headers and the body are all bounded, so no request makes the server
+//! buffer without limit.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Largest accepted request body. A job spec is a few hundred bytes; a
 /// megabyte bound keeps a misbehaving client from ballooning the server.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest accepted request line or header line, line ending included.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 64;
 
 /// A parsed HTTP request: method, path (query split off), body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,12 +76,30 @@ fn io_read_error(context: &str, e: &std::io::Error) -> ReadError {
     }
 }
 
+/// Read one line of at most [`MAX_LINE_BYTES`] into `line`; returns the
+/// bytes read (0 at EOF). `what` names the line in diagnostics.
+fn read_bounded_line<R: BufRead>(
+    r: &mut R,
+    line: &mut String,
+    what: &str,
+) -> Result<usize, ReadError> {
+    let n = r
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(line)
+        .map_err(|e| io_read_error(&format!("reading {what}"), &e))?;
+    if n > MAX_LINE_BYTES {
+        return Err(ReadError::Malformed(format!(
+            "{what} exceeds the {MAX_LINE_BYTES}-byte line limit"
+        )));
+    }
+    Ok(n)
+}
+
 /// Read one request off `r`.
 pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ReadError> {
     let mut line = String::new();
-    let n = r
-        .read_line(&mut line)
-        .map_err(|e| io_read_error("reading request line", &e))?;
+    let n = read_bounded_line(r, &mut line, "request line")?;
     if n == 0 {
         return Err(ReadError::Closed);
     }
@@ -98,13 +124,19 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ReadError> {
     }
 
     let mut content_length = 0usize;
+    let mut n_headers = 0usize;
     loop {
         let mut header = String::new();
-        r.read_line(&mut header)
-            .map_err(|e| io_read_error("reading header", &e))?;
+        read_bounded_line(r, &mut header, "header")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        n_headers += 1;
+        if n_headers > MAX_HEADERS {
+            return Err(malformed(format!(
+                "more than {MAX_HEADERS} headers in one request"
+            )));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(malformed(format!("malformed header {header:?}")));
@@ -321,6 +353,51 @@ mod tests {
         // Clean EOF before any byte is Closed, not Malformed — the
         // server drops it silently.
         assert_eq!(read_request(&mut Cursor::new("")), Err(ReadError::Closed));
+    }
+
+    #[test]
+    fn over_long_lines_are_rejected() {
+        let long_path = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES));
+        let long_header = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "b".repeat(MAX_LINE_BYTES)
+        );
+        // An endless line is cut off at the limit, not buffered whole.
+        let endless = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}",
+            "c".repeat(64 * MAX_LINE_BYTES)
+        );
+        for (raw, what) in [
+            (long_path, "request line"),
+            (long_header, "header"),
+            (endless, "header"),
+        ] {
+            match read_request(&mut Cursor::new(raw)) {
+                Err(ReadError::Malformed(m)) => {
+                    assert!(m.starts_with(what) && m.contains("line limit"), "{m}")
+                }
+                other => panic!("accepted an over-long {what}: {other:?}"),
+            }
+        }
+        // A line just under the limit is fine.
+        let fits = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "d".repeat(MAX_LINE_BYTES - "X-Pad: \r\n".len())
+        );
+        assert!(read_request(&mut Cursor::new(fits)).is_ok());
+    }
+
+    #[test]
+    fn too_many_headers_are_rejected() {
+        let with_headers = |n: usize| {
+            let headers: String = (0..n).map(|i| format!("X-H{i}: v\r\n")).collect();
+            format!("GET / HTTP/1.1\r\n{headers}\r\n")
+        };
+        assert!(read_request(&mut Cursor::new(with_headers(MAX_HEADERS))).is_ok());
+        match read_request(&mut Cursor::new(with_headers(MAX_HEADERS + 1))) {
+            Err(ReadError::Malformed(m)) => assert!(m.contains("headers"), "{m}"),
+            other => panic!("accepted {} headers: {other:?}", MAX_HEADERS + 1),
+        }
     }
 
     #[test]

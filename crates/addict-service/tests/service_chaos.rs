@@ -273,3 +273,30 @@ fn full_queue_answers_429_with_retry_after() {
     assert_eq!(first, second, "queueing must not change the bytes");
     assert_eq!(first, batch_reference(JOB));
 }
+
+#[test]
+fn maximum_size_nested_body_answers_400_not_a_crash() {
+    // A full 1 MiB body of `[` once recursed the JSON reader off the
+    // connection worker's stack and aborted the process.
+    let (addr, _handle) = spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let body = "[".repeat(addict_service::http::MAX_BODY_BYTES);
+    let resp = raw_post(addr, "/jobs", &body);
+    assert_eq!(resp.status, 400, "{resp:?}");
+    let doc = JsonValue::parse(resp.body.trim()).expect("structured error body");
+    let error = doc.get("error").expect("error object");
+    assert_eq!(
+        error.get("code").unwrap().as_str("code").unwrap(),
+        "invalid_spec"
+    );
+    assert!(resp.body.contains("nesting deeper than"), "{resp:?}");
+
+    // The server is alive and still runs jobs.
+    assert_alive(addr);
+    assert_eq!(
+        submit(addr, JOB, |_| {}).expect("job after the nested body"),
+        batch_reference(JOB)
+    );
+}

@@ -625,9 +625,7 @@ impl Engine {
             },
         );
         let lsn = self.log.next_lsn() - 1;
-        if let Some(page) = self.catalog.table_mut(table)?.heap.page_mut(rid.page) {
-            page.set_page_lsn(lsn);
-        }
+        self.catalog.table_mut(table)?.heap.set_page_lsn(rid, lsn)?;
         let up_variant = u64::from(table.0) % 2;
         self.rec.exec_slice(
             Routine::UpdatePage,

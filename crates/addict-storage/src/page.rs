@@ -34,6 +34,9 @@ pub struct SlottedPage {
     buf: Box<[u8]>,
     /// Bytes occupied by deleted/shrunk records, reclaimable by compaction.
     dead_bytes: usize,
+    /// Number of tombstone slots (length `0`), so the common no-tombstone
+    /// case answers [`SlottedPage::fits`] without walking the slot array.
+    tombstones: usize,
 }
 
 impl std::fmt::Debug for SlottedPage {
@@ -52,6 +55,7 @@ impl SlottedPage {
         let mut page = SlottedPage {
             buf: vec![0u8; PAGE_BYTES].into_boxed_slice(),
             dead_bytes: 0,
+            tombstones: 0,
         };
         page.set_free_end(PAGE_BYTES as u16);
         page
@@ -128,17 +132,36 @@ impl SlottedPage {
             .count()
     }
 
-    /// Would `insert` of `len` bytes succeed?
-    pub fn fits(&self, len: usize) -> bool {
-        let slot_cost = if self.find_tombstone().is_some() {
+    /// Number of tombstone slots, reusable by the next insert.
+    pub fn n_tombstones(&self) -> usize {
+        self.tombstones
+    }
+
+    /// Slot-array bytes the next insert costs: none when it can reuse a
+    /// tombstone.
+    fn slot_cost(&self) -> usize {
+        if self.tombstones > 0 {
             0
         } else {
             SLOT_BYTES
-        };
-        self.total_free() >= len + slot_cost
+        }
+    }
+
+    /// The largest record `insert` accepts: `fits(len)` holds exactly for
+    /// `1..=insert_capacity()`.
+    pub(crate) fn insert_capacity(&self) -> usize {
+        self.total_free().saturating_sub(self.slot_cost())
+    }
+
+    /// Would `insert` of `len` bytes succeed?
+    pub fn fits(&self, len: usize) -> bool {
+        self.total_free() >= len + self.slot_cost()
     }
 
     fn find_tombstone(&self) -> Option<u16> {
+        if self.tombstones == 0 {
+            return None;
+        }
         (0..self.n_slots()).find(|&s| self.slot_at(s).1 == 0)
     }
 
@@ -164,7 +187,10 @@ impl SlottedPage {
             }
         }
         let slot = match reuse {
-            Some(s) => s,
+            Some(s) => {
+                self.tombstones -= 1;
+                s
+            }
             None => {
                 let s = self.n_slots();
                 self.set_n_slots(s + 1);
@@ -216,21 +242,20 @@ impl SlottedPage {
             self.dead_bytes += len - record.len();
             return Ok(());
         }
-        // Relocate: free the old copy first so compaction can reclaim it.
-        if self.contiguous_free() < record.len() && self.total_free() + len < record.len() {
+        // Relocate. Every byte not held by a live record is reclaimable, so
+        // once the old copy is freed, compaction leaves `total_free() + len`
+        // contiguous bytes: this check is the only way growth can fail.
+        if self.total_free() + len < record.len() {
             return Err(NoSpace);
         }
+        // Free the old copy first so compaction can reclaim it. The slot is
+        // rewritten below, so it never counts as a tombstone.
         self.set_slot(slot, 0, 0);
         self.dead_bytes += len;
         if self.contiguous_free() < record.len() {
             self.compact();
         }
-        if self.contiguous_free() < record.len() {
-            // Roll back the tombstone; data bytes were untouched.
-            self.set_slot(slot, offset, len);
-            self.dead_bytes -= len;
-            return Err(NoSpace);
-        }
+        debug_assert!(self.contiguous_free() >= record.len());
         let new_offset = self.free_end() - record.len();
         self.buf[new_offset..new_offset + record.len()].copy_from_slice(record);
         self.set_free_end(new_offset as u16);
@@ -250,6 +275,7 @@ impl SlottedPage {
         }
         self.set_slot(slot, 0, 0);
         self.dead_bytes += len;
+        self.tombstones += 1;
         true
     }
 
@@ -384,6 +410,33 @@ mod tests {
         let huge = vec![5u8; 4000];
         assert_eq!(p.update(s, &huge), Err(NoSpace));
         assert_eq!(p.get(s), Some(&[3u8; 100][..]));
+        assert_eq!(p.n_tombstones(), 0);
+        // With a tombstone present, failed growth leaves it the only one.
+        assert!(p.delete(s + 1));
+        assert_eq!(p.update(s, &huge), Err(NoSpace));
+        assert_eq!(p.get(s), Some(&[3u8; 100][..]));
+        assert_eq!(p.n_tombstones(), 1);
+    }
+
+    #[test]
+    fn tombstone_count_tracks_delete_reuse_and_relocation() {
+        let mut p = SlottedPage::new();
+        let slots: Vec<u16> = (0..4u8).map(|i| p.insert(&[i; 50]).unwrap()).collect();
+        assert!(p.delete(slots[1]) && p.delete(slots[2]));
+        assert!(
+            !p.delete(slots[2]),
+            "double delete is not a second tombstone"
+        );
+        assert_eq!(p.n_tombstones(), 2);
+        // Growth relocates through a transient tombstone: no net change.
+        p.update(slots[0], &[9u8; 500]).unwrap();
+        assert_eq!(p.n_tombstones(), 2);
+        // Reuse takes the lowest tombstone first.
+        assert_eq!(p.insert(b"x").unwrap(), slots[1]);
+        assert_eq!(p.n_tombstones(), 1);
+        assert_eq!(p.insert(b"y").unwrap(), slots[2]);
+        assert_eq!(p.n_tombstones(), 0);
+        assert_eq!(p.insert(b"z").unwrap(), 4, "no tombstone left: new slot");
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Property-based tests: the B+-tree against a `BTreeMap` model, and
-//! slotted pages against a vector-of-records model.
+//! Property-based tests: the B+-tree against a `BTreeMap` model, slotted
+//! pages against a vector-of-records model, and the heap file against a
+//! linear-scan reference heap.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use addict_storage::btree::BTree;
-use addict_storage::heap::PageAllocator;
+use addict_storage::heap::{HeapFile, HeapInsert, PageAllocator};
 use addict_storage::page::SlottedPage;
+use addict_storage::rid::Rid;
+use addict_storage::StorageError;
 use proptest::prelude::*;
 
 /// Operations the B+-tree model understands.
@@ -26,6 +29,94 @@ fn tree_op() -> impl Strategy<Value = TreeOp> {
         2 => key.clone().prop_map(TreeOp::Delete),
         2 => key.clone().prop_map(TreeOp::Probe),
         1 => (key.clone(), key).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
+    ]
+}
+
+/// The placement reference for [`HeapFile`]: a linear scan of every page
+/// from the hint, with a `fits` that walks the slot array for a
+/// tombstone.
+#[derive(Default)]
+struct LinearScanHeap {
+    pages: Vec<(u64, SlottedPage)>,
+    by_id: HashMap<u64, usize>,
+    free_hint: usize,
+}
+
+impl LinearScanHeap {
+    fn fits(page: &SlottedPage, len: usize) -> bool {
+        let has_tombstone = (0..page.n_slots()).any(|s| page.get(s).is_none());
+        page.total_free() >= len + if has_tombstone { 0 } else { 4 }
+    }
+
+    fn insert(&mut self, alloc: &mut PageAllocator, record: &[u8]) -> HeapInsert {
+        for i in self.free_hint..self.pages.len() {
+            let (pid, page) = &mut self.pages[i];
+            if Self::fits(page, record.len()) {
+                let slot = page.insert(record).expect("fits");
+                return HeapInsert {
+                    rid: Rid::new(*pid, slot),
+                    allocated_page: false,
+                };
+            }
+            if i == self.free_hint && page.total_free() < 64 {
+                self.free_hint += 1;
+            }
+        }
+        let pid = alloc.alloc();
+        let mut page = SlottedPage::new();
+        let slot = page.insert(record).expect("fresh page");
+        self.by_id.insert(pid, self.pages.len());
+        self.pages.push((pid, page));
+        HeapInsert {
+            rid: Rid::new(pid, slot),
+            allocated_page: true,
+        }
+    }
+
+    fn update(&mut self, rid: Rid, record: &[u8]) -> bool {
+        let Some(&i) = self.by_id.get(&rid.page) else {
+            return false;
+        };
+        self.pages[i].1.update(rid.slot, record).is_ok()
+    }
+
+    fn delete(&mut self, rid: Rid) -> bool {
+        let Some(&i) = self.by_id.get(&rid.page) else {
+            return false;
+        };
+        let deleted = self.pages[i].1.delete(rid.slot);
+        if deleted {
+            self.free_hint = self.free_hint.min(i);
+        }
+        deleted
+    }
+}
+
+/// Heap operations; `usize` targets index the live-record list.
+#[derive(Debug, Clone)]
+enum HeapOp {
+    Insert(usize),
+    Update(usize, usize),
+    Delete(usize),
+}
+
+/// Record sizes: 100-byte rows leave a full page with exactly 64 free
+/// bytes (the hint stops there for good), rows of at most 60 bytes still
+/// fit into such a page, and wide rows fill pages in a few inserts.
+fn record_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        4 => Just(100usize),
+        3 => 1usize..61,
+        2 => 61usize..400,
+        1 => 400usize..3000,
+    ]
+}
+
+fn heap_op() -> impl Strategy<Value = HeapOp> {
+    prop_oneof![
+        6 => record_len().prop_map(HeapOp::Insert),
+        2 => (any::<usize>(), record_len()).prop_map(|(t, len)| HeapOp::Update(t, len)),
+        2 => any::<usize>().prop_map(HeapOp::Delete),
     ]
 }
 
@@ -108,6 +199,53 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// The indexed heap places every record exactly where the linear scan
+    /// does: same rid, same page allocations, same update and delete
+    /// outcomes, over mixed record sizes.
+    #[test]
+    fn heap_matches_linear_scan(ops in prop::collection::vec(heap_op(), 1..600)) {
+        let (mut alloc, mut model_alloc) = (PageAllocator::new(), PageAllocator::new());
+        let mut heap = HeapFile::new();
+        let mut model = LinearScanHeap::default();
+        let mut live: Vec<Rid> = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                HeapOp::Insert(len) => {
+                    let record = vec![(step % 251) as u8; len];
+                    let got = heap.insert(&mut alloc, &record).unwrap();
+                    let want = model.insert(&mut model_alloc, &record);
+                    prop_assert_eq!(got, want, "insert of {} bytes at step {}", len, step);
+                    live.push(got.rid);
+                }
+                HeapOp::Update(target, len) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let rid = live[target % live.len()];
+                    let record = vec![(step % 251) as u8; len];
+                    let got = heap.update(rid, &record);
+                    let want = model.update(rid, &record);
+                    prop_assert_eq!(got.is_ok(), want, "update of {:?} at step {}", rid, step);
+                    if let Err(e) = got {
+                        prop_assert_eq!(e, StorageError::RecordTooLarge { size: len });
+                    }
+                }
+                HeapOp::Delete(target) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let rid = live.swap_remove(target % live.len());
+                    prop_assert!(heap.delete(rid).is_ok());
+                    prop_assert!(model.delete(rid));
+                    prop_assert_eq!(heap.delete(rid), Err(StorageError::InvalidRid(rid)));
+                }
+            }
+            prop_assert_eq!(heap.n_pages(), model.pages.len());
+            prop_assert_eq!(alloc.allocated(), model_alloc.allocated());
+        }
+        prop_assert_eq!(heap.n_records(), live.len());
+    }
+
     /// Slotted pages: whatever sequence of inserts/updates/deletes runs, the
     /// live records always read back exactly.
     #[test]
@@ -156,6 +294,11 @@ proptest! {
             }
             // Full read-back check.
             prop_assert_eq!(page.n_records(), live);
+            prop_assert_eq!(
+                page.n_tombstones(),
+                usize::from(page.n_slots()) - live,
+                "tombstone count drifted from the zero-length slots"
+            );
             for (slot, expect) in model.iter().enumerate() {
                 prop_assert_eq!(page.get(slot as u16), expect.as_deref(), "slot {}", slot);
             }
