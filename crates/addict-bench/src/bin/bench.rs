@@ -23,10 +23,7 @@
 //! footprint (flat vs interned resident bytes, delta-encoded address
 //! bytes, pool dedup ratio), the parallel-sweep wall times + speedup, a
 //! `service` section timing the same job cold vs warm through the
-//! replay-as-a-service layer's trace-pool cache (PR 7; see SERVICE.md),
-//! and a `shards` section laddering **intra-replay decode sharding**
-//! (`ReplayConfig::shards`) over 1 / 2 / 4 / `--shards` workers per
-//! scheduler (PR 10).
+//! replay-as-a-service layer's trace-pool cache (PR 7; see SERVICE.md).
 //!
 //! The interned evaluation traces come from the **streamed pipeline**
 //! (`generate_interned_chunked`: generate → intern → retire flat traces,
@@ -46,18 +43,14 @@
 //! * the 1-thread and N-thread sweeps must produce bit-identical
 //!   per-scheduler `MachineStats` and makespans (parallelism can never
 //!   change a result) — for the spec-driven workloads exactly as for the
-//!   handwritten ones, and
-//! * every **sharded** replay in the `shards` ladder (and, under
-//!   `--scaling --shards N`, the gated ladder rungs) must be bit-identical
-//!   to the serial engine's — the `shard-equivalence` CI gate.
+//!   handwritten ones.
 //!
 //! Usage: `cargo run --release --bin bench -- [n_xcts] [out.json]
-//! [--xcts N] [--threads N] [--shards N] [--benchmarks tpcb,tatp,...]
+//! [--xcts N] [--threads N] [--benchmarks tpcb,tatp,...]
 //! [--smoke] [--scaling]` (defaults: 400 transactions, `BENCH_10.json`;
 //! `--smoke` is the CI-sized run: 60 transactions, one rep,
 //! `bench_smoke.json`; `--scaling` caps the fixed-size matrix at 400 and
-//! ladders the first selected benchmark up to `--xcts`, replaying rungs
-//! with `--shards` decode workers).
+//! ladders the first selected benchmark up to `--xcts`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -475,8 +468,6 @@ fn main() {
     service_section(&mut out, &args, &prepared[0], n, &reference_results[0]);
     out.push_str(",\n");
     htm_section(&mut out, &prepared, &reference_results);
-    out.push_str(",\n");
-    shards_section(&mut out, &args, &cfg, &prepared[0], reps);
 
     if args.scaling {
         out.push_str(",\n");
@@ -631,97 +622,6 @@ fn htm_section(out: &mut String, prepared: &[Prepared], reference_results: &[Vec
     out.push_str("    ]\n  }");
 }
 
-/// The `shards` section: the intra-replay decode-sharding ladder on the
-/// first selected benchmark. Every scheduler replays the interned eval
-/// traces at 1 / 2 / 4 decode shards (plus `--shards` when it names
-/// another rung), and each sharded result is asserted bit-identical to
-/// the serial engine's — the runtime `shard-equivalence` CI gate, across
-/// all five schedulers. Sharding moves trace *decoding* off the merge
-/// thread but leaves the discrete-event loop serial, so it is a latency
-/// knob, not a semantics knob: on a single shared core the expected
-/// reading is "no slower", with the win appearing on hosts with idle
-/// cores and decode-heavy (interned, delta-encoded) traces.
-fn shards_section(
-    out: &mut String,
-    args: &addict_bench::BenchArgs,
-    cfg: &ReplayConfig,
-    p0: &Prepared,
-    base_reps: usize,
-) {
-    let mut ladder = vec![1usize, 2, 4];
-    if !ladder.contains(&args.shards) {
-        ladder.push(args.shards);
-        ladder.sort_unstable();
-    }
-    // Shard handoff keeps the replay deterministic, not the wall clock;
-    // best-of a few reps is enough to see the trend without re-running
-    // the full matrix budget.
-    let reps = base_reps.min(5);
-    let iset = p0.interned.as_set();
-    let _ = write!(
-        out,
-        "  \"shards\": {{\n    \"workload\": \"{}\",\n    \"ladder\": {ladder:?},\n    \"reps_best_of\": {reps},\n    \"bit_identical\": true,\n    \"schedulers\": [\n",
-        p0.bench.name()
-    );
-    for (i, kind) in SchedulerKind::ALL.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{ \"scheduler\": \"{}\", \"points\": [ ",
-            kind.name()
-        );
-        let mut serial: Option<(ModeTiming, ReplayResult)> = None;
-        for (j, &shards) in ladder.iter().enumerate() {
-            let shard_cfg = ReplayConfig {
-                segment_exec: true,
-                data_run_exec: true,
-                shards,
-                ..cfg.clone()
-            };
-            let (timing, r) = time_mode(
-                || run_scheduler(*kind, &iset, Some(&p0.map), &shard_cfg),
-                p0.events,
-                reps,
-            );
-            if let Some((_, base)) = &serial {
-                assert_identical(
-                    &r,
-                    base,
-                    &format!("{}/{}: {shards}-shard replay", p0.bench.name(), kind.name()),
-                );
-            }
-            let _ = write!(
-                out,
-                "{}{{ \"shards\": {shards}, \"seconds\": {:.6}, \"events_per_sec\": {:.1} }}",
-                if j > 0 { ", " } else { "" },
-                timing.seconds,
-                timing.events_per_sec
-            );
-            if serial.is_none() {
-                serial = Some((timing, r));
-            }
-        }
-        let (base_t, _) = serial.expect("ladder starts at 1 shard");
-        eprintln!(
-            "bench: shards {:<6} {:<9} serial {:>9.0} ev/s | ladder {:?} bit-identical ({} reps best-of)",
-            p0.bench.name(),
-            kind.name(),
-            base_t.events_per_sec,
-            ladder,
-            reps
-        );
-        let _ = write!(
-            out,
-            " ] }}{}",
-            if i + 1 < SchedulerKind::ALL.len() {
-                ",\n"
-            } else {
-                "\n"
-            }
-        );
-    }
-    out.push_str("    ]\n  }");
-}
-
 /// The `--scaling` ladder: streamed generate→intern→replay of the first
 /// selected benchmark at 400 / 10k / 100k / ... up to `--xcts`
 /// transactions, recording per-rung trace memory, generation and replay
@@ -730,10 +630,7 @@ fn shards_section(
 /// streamed interned form (at 1M TPC-B transactions the flat form alone
 /// would be ~4 GB of events) — and rungs small enough to afford a flat
 /// reference (≤ 10k) are decoded and replayed against it bit-identically
-/// before being timed. Rung replays run with `--shards` decode workers
-/// (the long single replays are exactly where intra-replay sharding is
-/// aimed), so under `--shards N` the gated rungs double as the
-/// shard-equivalence check at scale: N-shard interned vs serial flat.
+/// before being timed.
 fn scaling_section(
     out: &mut String,
     args: &addict_bench::BenchArgs,
@@ -757,7 +654,6 @@ fn scaling_section(
     let run_cfg = ReplayConfig {
         segment_exec: true,
         data_run_exec: true,
-        shards: args.shards,
         ..cfg.clone()
     };
     let flat_cfg = ReplayConfig {
@@ -767,9 +663,8 @@ fn scaling_section(
     };
     let _ = write!(
         out,
-        "  \"scaling\": {{\n    \"workload\": \"{}\",\n    \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n    \"shards\": {},\n    \"rungs\": [\n",
-        bench.name(),
-        args.shards
+        "  \"scaling\": {{\n    \"workload\": \"{}\",\n    \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n    \"rungs\": [\n",
+        bench.name()
     );
     for (ri, &rung) in rungs.iter().enumerate() {
         let t = Instant::now();

@@ -194,19 +194,6 @@ pub fn threads_value(v: &str) -> Result<usize, SpecError> {
     }
 }
 
-/// Parse an intra-replay shard count: a positive integer, never a silent
-/// fallback. Used by `--shards` (the replay engine clamps it to the
-/// simulated core count per machine).
-pub fn shards_value(v: &str) -> Result<usize, SpecError> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(SpecError::new(
-            "shards",
-            format!("--shards requires a positive integer, got {v:?}"),
-        )),
-    }
-}
-
 /// Parse a comma-separated benchmark list: known names only, never empty.
 /// Shared by `--benchmarks` and (name-by-name) the job spec's
 /// `benchmarks` field.

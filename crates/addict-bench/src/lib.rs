@@ -79,10 +79,6 @@ pub struct BenchArgs {
     /// Sweep worker threads (`--threads N` / `ADDICT_THREADS`, defaulting
     /// to the host parallelism; see [`sweep::default_threads`]).
     pub threads: usize,
-    /// Intra-replay decode shards (`--shards N`, default 1 = the serial
-    /// engine). Sharded replays are byte-identical to serial ones —
-    /// this is purely a latency knob, like `threads`.
-    pub shards: usize,
     /// `--smoke`: a fast CI-sized run (small trace count, single rep).
     pub smoke: bool,
     /// `--scaling`: run the `bench` binary's trace-memory-vs-throughput
@@ -97,8 +93,8 @@ pub struct BenchArgs {
     pub benchmarks_explicit: bool,
 }
 
-/// Parse `[n_xcts] [out] [--xcts N] [--threads N] [--shards N]
-/// [--benchmarks a,b,...] [--smoke] [--scaling]` in any order, exiting
+/// Parse `[n_xcts] [out] [--xcts N] [--threads N] [--benchmarks a,b,...]
+/// [--smoke] [--scaling]` in any order, exiting
 /// with a usage message on a malformed flag. `--smoke` shrinks the
 /// default trace count to 60 unless one was given explicitly.
 pub fn parse_bench_args(default_n: usize) -> BenchArgs {
@@ -106,7 +102,7 @@ pub fn parse_bench_args(default_n: usize) -> BenchArgs {
     parse_bench_args_from(&args, default_n).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         eprintln!(
-            "usage: {} [n_xcts] [out] [--xcts N] [--threads N] [--shards N] [--benchmarks name,name,...] [--smoke] [--scaling]",
+            "usage: {} [n_xcts] [out] [--xcts N] [--threads N] [--benchmarks name,name,...] [--smoke] [--scaling]",
             args.first().map(String::as_str).unwrap_or("bench")
         );
         std::process::exit(2);
@@ -123,7 +119,6 @@ pub fn parse_bench_args(default_n: usize) -> BenchArgs {
 /// type ([`SpecError`]) for flags and jobs alike.
 pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchArgs, SpecError> {
     let mut threads = None;
-    let mut shards = None;
     let mut benchmarks = None;
     let mut smoke = false;
     let mut scaling = false;
@@ -160,15 +155,6 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
             s if s.starts_with("--threads=") => {
                 threads = Some(job::threads_value(&s["--threads=".len()..])?);
             }
-            "--shards" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| SpecError::new("shards", "--shards requires a value"))?;
-                shards = Some(job::shards_value(v)?);
-            }
-            s if s.starts_with("--shards=") => {
-                shards = Some(job::shards_value(&s["--shards=".len()..])?);
-            }
             "--benchmarks" => {
                 let v = it
                     .next()
@@ -195,7 +181,6 @@ pub fn parse_bench_args_from(args: &[String], default_n: usize) -> Result<BenchA
         n_xcts: n_xcts.unwrap_or(if smoke { 60 } else { default_n }),
         out,
         threads: threads.unwrap_or_else(sweep::default_threads),
-        shards: shards.unwrap_or(1),
         smoke,
         scaling,
         benchmarks_explicit: benchmarks.is_some(),
@@ -322,32 +307,6 @@ mod tests {
         assert_eq!(d.n_xcts, 60);
         assert_eq!(d.out.as_deref(), Some("/tmp/s.json"));
         assert!(d.smoke);
-    }
-
-    #[test]
-    fn bench_args_parse_shards_flag() {
-        let argv = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        // Default: the serial engine.
-        let a = parse_bench_args_from(&argv(&["bench", "--smoke"]), 600).unwrap();
-        assert_eq!(a.shards, 1);
-        let b = parse_bench_args_from(&argv(&["bench", "--shards", "4", "out.json"]), 600).unwrap();
-        assert_eq!(b.shards, 4);
-        assert_eq!(b.out.as_deref(), Some("out.json"));
-        let c = parse_bench_args_from(&argv(&["bench", "--shards=2", "--smoke"]), 600).unwrap();
-        assert_eq!(c.shards, 2);
-        // Garbage, zero, a missing value, and a flag swallowed as the
-        // value are explicit errors — same contract as --threads.
-        for bad in [
-            vec!["bench", "--shards"],
-            vec!["bench", "--shards", "--smoke"],
-            vec!["bench", "--shards", "4x"],
-            vec!["bench", "--shards=0"],
-            vec!["bench", "--shards=lots"],
-        ] {
-            let err = parse_bench_args_from(&argv(&bad), 600).unwrap_err();
-            assert_eq!(err.field, "shards", "{bad:?} gave {err:?}");
-            assert!(err.message.contains("--shards"), "{bad:?} gave {err:?}");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # addict-core
 //!
-//! ADDICT itself — the paper's contribution — plus the three comparator
+//! ADDICT itself — the paper's contribution — plus the four comparator
 //! scheduling mechanisms, all running over the `addict-sim` machine on
 //! traces produced by `addict-storage`/`addict-workloads`.
 //!
@@ -18,7 +18,9 @@
 //! * [`sched`] — the four mechanisms of Section 4.1: Baseline (one core
 //!   per transaction, start to finish), STREX (time-multiplexing a batch
 //!   on one core), SLICC (hardware-heuristic computation spreading), and
-//!   ADDICT (software-guided migration at the planned points).
+//!   ADDICT (software-guided migration at the planned points); plus a
+//!   fifth, beyond the paper: HTMX (bounded HTM-style speculation over
+//!   the MESI directory, with retries and a non-speculative fallback).
 //! * [`specialize`] — the Section 6 outlook: per-action instruction
 //!   profiles for heterogeneous-core specialization.
 
@@ -26,7 +28,6 @@ pub mod algorithm1;
 pub mod plan;
 pub mod replay;
 pub mod sched;
-mod shard;
 pub mod specialize;
 
 pub use algorithm1::{

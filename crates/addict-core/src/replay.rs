@@ -54,16 +54,6 @@ pub struct ReplayConfig {
     /// per-block path; `false` forces per-event data execution (kept for
     /// the equivalence tests and the hot-path benchmarks).
     pub data_run_exec: bool,
-    /// Worker threads one replay's trace decoding is sharded across
-    /// (1 = the serial engine). Cores partition into contiguous shard
-    /// ranges the way blocks partition into LLC banks; each shard's
-    /// worker advances its threads' cursors independently up to a
-    /// conservative decode-ahead horizon, and the merge layer serializes
-    /// every machine effect in exactly the [`Cluster::earliest_of`] total
-    /// order (penalty, then lowest core id) — so N-shard replays
-    /// serialize **byte-identical** [`ReplayResult`]s to 1-shard runs.
-    /// Clamped to the core count.
-    pub shards: usize,
 }
 
 impl ReplayConfig {
@@ -78,19 +68,12 @@ impl ReplayConfig {
             power: PowerModel::default(),
             segment_exec: true,
             data_run_exec: true,
-            shards: 1,
         }
     }
 
     /// Same configuration with a different batch size (Section 4.5).
     pub fn with_batch_size(mut self, b: usize) -> Self {
         self.batch_size = b.max(1);
-        self
-    }
-
-    /// Same configuration sharded across `s` worker threads.
-    pub fn with_shards(mut self, s: usize) -> Self {
-        self.shards = s.max(1);
         self
     }
 }
@@ -357,7 +340,7 @@ pub fn batch_order<T: TraceSet + ?Sized>(traces: &T, batch_size: usize) -> Vec<V
 /// after that. Generic over the trace storage layout ([`TraceSet`]): the
 /// flat and interned forms replay through the identical engine, so they
 /// are bit-identical by construction.
-pub fn run_des<T: TraceSet + Sync + ?Sized, P: Policy>(
+pub fn run_des<T: TraceSet + ?Sized, P: Policy>(
     machine: &mut Machine,
     traces: &T,
     order: &[usize],
@@ -402,7 +385,7 @@ pub enum Admission {
 /// does not change the data contention patterns"). `None` admits everything
 /// immediately (Baseline dispatch, STREX's overloaded cores).
 #[allow(clippy::too_many_arguments)]
-pub fn run_des_admitted<T: TraceSet + Sync + ?Sized, P: Policy>(
+pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
     machine: &mut Machine,
     traces: &T,
     order: &[usize],
@@ -413,7 +396,7 @@ pub fn run_des_admitted<T: TraceSet + Sync + ?Sized, P: Policy>(
     admission: Admission,
 ) -> ReplayResult {
     // Admission queue: (tid, initial core, batch id) in dispatch order.
-    let pending: VecDeque<(usize, usize, usize)> = order
+    let mut pending: VecDeque<(usize, usize, usize)> = order
         .iter()
         .enumerate()
         .map(|(dispatch_idx, &tid)| {
@@ -425,47 +408,6 @@ pub fn run_des_admitted<T: TraceSet + Sync + ?Sized, P: Policy>(
         })
         .collect();
 
-    let shards = cfg.shards.clamp(1, machine.n_cores().max(1));
-    if shards > 1 && !pending.is_empty() {
-        crate::shard::run_sharded(
-            machine,
-            traces,
-            pending,
-            policy,
-            scheduler_name,
-            cfg,
-            &admission,
-            shards,
-        )
-    } else {
-        des_loop(
-            machine,
-            traces,
-            pending,
-            policy,
-            scheduler_name,
-            cfg,
-            &admission,
-        )
-    }
-}
-
-/// The serial discrete-event loop over a pre-built admission queue: one
-/// [`TraceSet::fetch`] per step, machine effects applied in exactly the
-/// [`Cluster::earliest_of`] total order. Sharded replays run this same
-/// loop over a [`crate::shard::ShardedView`] — that is the whole
-/// byte-identity argument: only the trace *decoding* moves off-thread,
-/// never the merge.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn des_loop<T: TraceSet + ?Sized, P: Policy>(
-    machine: &mut Machine,
-    traces: &T,
-    mut pending: VecDeque<(usize, usize, usize)>,
-    policy: &mut P,
-    scheduler_name: &str,
-    cfg: &ReplayConfig,
-    admission: &Admission,
-) -> ReplayResult {
     let n_cores = machine.n_cores();
     let mut cluster = Cluster::new(n_cores);
     let mut threads: Vec<Thread<T::Cursor>> = (0..traces.len())
@@ -503,7 +445,7 @@ pub(crate) fn des_loop<T: TraceSet + ?Sized, P: Policy>(
             let Some(&(tid, core, batch)) = pending.front() else {
                 return;
             };
-            let admit_ok = match admission {
+            let admit_ok = match &admission {
                 Admission::All => true,
                 Admission::Bounded(max) => *inflight < (*max).max(1),
                 Admission::BatchSerial { inflight: max, .. } => {

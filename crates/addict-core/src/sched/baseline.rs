@@ -33,7 +33,7 @@ impl Policy for NoMovement {
 }
 
 /// Replay under traditional scheduling.
-pub fn run<T: TraceSet + Sync + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
+pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
     let mut machine = Machine::new(&cfg.sim);
     let n_cores = cfg.sim.n_cores;
     let order: Vec<usize> = (0..traces.len()).collect();

@@ -209,12 +209,12 @@ impl Policy for HtmxPolicy {
 }
 
 /// Replay under HTMX speculation with the default [`SpecConfig`].
-pub fn run<T: TraceSet + Sync + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
+pub fn run<T: TraceSet + ?Sized>(traces: &T, cfg: &ReplayConfig) -> ReplayResult {
     run_with(traces, cfg, SpecConfig::default())
 }
 
 /// [`run`] with explicit speculation knobs (tests and ablations).
-pub fn run_with<T: TraceSet + Sync + ?Sized>(
+pub fn run_with<T: TraceSet + ?Sized>(
     traces: &T,
     cfg: &ReplayConfig,
     spec_cfg: SpecConfig,

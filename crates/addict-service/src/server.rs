@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use addict_bench::jsontext::escape;
+use addict_bench::jsontext::{escape, JsonValue};
 use addict_bench::{run_job_with, JobError, JobSpec, SpecError, TraceKey, TracePool};
 
 use crate::faults::FaultPlan;
@@ -267,8 +267,10 @@ fn poke_accept_loop(addr: SocketAddr) {
 /// embeds its spec verbatim on the `"spec": {...},` line
 /// ([`JobResult::to_json`](addict_bench::JobResult::to_json) writes
 /// [`JobSpec::to_json`] there), which rebuilds the full job record.
-/// Files that don't parse are skipped with a warning, never a failed
-/// boot.
+/// Only a file that parses whole as one JSON document is a finished
+/// result: a dump torn mid-write keeps a parsable spec line, so the spec
+/// alone proves nothing. Files that don't parse are skipped with a
+/// warning, never a failed boot.
 fn recover_dumped(state: &State, dir: &std::path::Path) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0; // absent or unreadable dir: nothing dumped yet
@@ -292,9 +294,12 @@ fn recover_dumped(state: &State, dir: &std::path::Path) -> usize {
             eprintln!("boot recovery: unreadable {}; skipping", path.display());
             continue;
         };
-        let spec = text
-            .lines()
-            .find_map(|line| line.trim_start().strip_prefix("\"spec\": "))
+        let spec = JsonValue::parse(&text)
+            .ok()
+            .and_then(|_| {
+                text.lines()
+                    .find_map(|line| line.trim_start().strip_prefix("\"spec\": "))
+            })
             .and_then(|rest| JobSpec::from_json(rest.trim_end().trim_end_matches(',')).ok());
         let Some(spec) = spec else {
             eprintln!(
@@ -310,7 +315,9 @@ fn recover_dumped(state: &State, dir: &std::path::Path) -> usize {
     recovered
 }
 
-/// Persist every completed result to `<dir>/job_<id>.json`.
+/// Persist every completed result to `<dir>/job_<id>.json`. Each file is
+/// written whole to `job_<id>.json.tmp` and then renamed into place, so a
+/// crash mid-write leaves no torn `.json` for recovery to find.
 fn dump_results(state: &State, dir: &std::path::Path) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("shutdown dump: creating {}: {e}", dir.display());
@@ -318,7 +325,10 @@ fn dump_results(state: &State, dir: &std::path::Path) {
     }
     for (id, bytes) in state.registry.done_results() {
         let path = dir.join(format!("job_{id}.json"));
-        if let Err(e) = std::fs::write(&path, bytes.as_bytes()) {
+        let tmp = dir.join(format!("job_{id}.json.tmp"));
+        if let Err(e) =
+            std::fs::write(&tmp, bytes.as_bytes()).and_then(|()| std::fs::rename(&tmp, &path))
+        {
             eprintln!("shutdown dump: writing {}: {e}", path.display());
         }
     }

@@ -353,9 +353,25 @@ fn restart_recovers_dumped_results() {
     shutdown(addr).expect("POST /shutdown");
     join.join().expect("serve thread").expect("serve returns");
 
-    // Second life, same dump dir: the result is pollable at its old id
-    // before any new work runs, and the listing/status agree it's done.
-    let (addr, _handle, join) = spawn(config);
+    // A dump torn mid-write (a crash inside the write) under the next id:
+    // its spec line still parses, but the file is not a whole result.
+    let intact = std::fs::read(dump.join(format!("job_{id}.json"))).expect("dumped result");
+    let torn = id + 1;
+    std::fs::write(
+        dump.join(format!("job_{torn}.json")),
+        &intact[..intact.len() / 2],
+    )
+    .expect("write torn dump");
+
+    // Second life, same dump dir: only the intact result is recovered. It
+    // is pollable at its old id before any new work runs, and the
+    // listing/status agree it's done; the torn id does not exist.
+    let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+    assert_eq!(server.recovered_results(), 1, "a torn dump was recovered");
+    let addr = server.local_addr().expect("bound address");
+    let join = std::thread::spawn(move || server.serve());
+    let err = job_result(addr, torn).expect_err("torn dump served as a result");
+    assert_eq!(err.status, Some(404), "{err}");
     assert_eq!(
         job_result(addr, id).expect("recovered result"),
         bytes,

@@ -180,10 +180,10 @@ struct Table {
 
 /// Full-map directory for up to 64 cores, partitioned by block address
 /// into independent [`Table`] shards the way LLC banks partition blocks:
-/// each shard owns a disjoint address slice, so `on_read` / `on_write` /
-/// `on_evict` on different shards touch disjoint state (the sharded
-/// replay engine's merge layer exploits this), and none of them allocate
-/// except for amortized per-shard table growth.
+/// the machine builds one shard per core, mirroring its distributed
+/// one-bank-per-core LLC, so each shard owns a disjoint address slice and
+/// grows and rebuilds on its own. `on_read` / `on_write` / `on_evict`
+/// never allocate except for amortized per-shard table growth.
 #[derive(Debug)]
 pub struct Directory {
     tables: Vec<Table>,
