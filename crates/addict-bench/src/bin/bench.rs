@@ -18,7 +18,7 @@
 //!
 //! then times the **full (benchmark × scheduler) grid** through the sweep
 //! engine at one thread vs `--threads N`, with the interned grid sharing
-//! one `Arc`'d pool per workload. Writes `BENCH_10.json` with events/sec
+//! one `Arc`'d pool per workload. Writes `BENCH_11.json` with events/sec
 //! and sim-cycles/sec per workload, scheduler, and mode, the trace-memory
 //! footprint (flat vs interned resident bytes, delta-encoded address
 //! bytes, pool dedup ratio), the parallel-sweep wall times + speedup, a
@@ -47,7 +47,7 @@
 //!
 //! Usage: `cargo run --release --bin bench -- [n_xcts] [out.json]
 //! [--xcts N] [--threads N] [--benchmarks tpcb,tatp,...]
-//! [--smoke] [--scaling]` (defaults: 400 transactions, `BENCH_10.json`;
+//! [--smoke] [--scaling]` (defaults: 400 transactions, `BENCH_11.json`;
 //! `--smoke` is the CI-sized run: 60 transactions, one rep,
 //! `bench_smoke.json`; `--scaling` caps the fixed-size matrix at 400 and
 //! ladders the first selected benchmark up to `--xcts`).
@@ -186,7 +186,7 @@ fn main() {
         if args.smoke {
             "bench_smoke.json".to_owned()
         } else {
-            "BENCH_10.json".to_owned()
+            "BENCH_11.json".to_owned()
         }
     });
     // Best-of-N per mode: this container is a single shared core whose
@@ -247,7 +247,7 @@ fn main() {
     out.push_str("{\n");
     let _ = write!(
         out,
-        "  \"artifact\": \"BENCH_10\",\n  \"n_xcts\": {n},\n  \"n_cores\": {},\n  \"reps_best_of\": {reps},\n  \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n  \"workloads\": [\n",
+        "  \"artifact\": \"BENCH_11\",\n  \"n_xcts\": {n},\n  \"n_cores\": {},\n  \"reps_best_of\": {reps},\n  \"gen_chunk\": {DEFAULT_GEN_CHUNK},\n  \"workloads\": [\n",
         cfg.sim.n_cores
     );
 

@@ -161,7 +161,9 @@ pub enum Action {
 /// event. `pre` migrations leave the event unconsumed (it executes at the
 /// destination — how ADDICT gets the migration-point block fetched on its
 /// assigned core); `post` decisions run after the event completed (how
-/// miss-driven heuristics react).
+/// miss-driven heuristics react). Under segment-granular execution the
+/// engine may consult `post` once for several executed instruction blocks
+/// (see [`Policy::segment_granular`] and [`Policy::miss_budget`]).
 pub trait Policy {
     /// Decide before executing `ev` on `core`.
     fn pre(
@@ -176,14 +178,18 @@ pub trait Policy {
         Action::Continue
     }
 
-    /// Observe the executed event; `missed` reports an L1-I miss for
-    /// instruction events.
+    /// Observe the executed event. `misses` counts the L1-I misses
+    /// serviced since the policy last saw this thread, the event's own
+    /// included: 0 or 1 on the per-block path, up to
+    /// [`Policy::miss_budget`] after a segment-granular walk (where `ev`
+    /// is the walk's last block — the budget-th miss if the walk stopped
+    /// at its budget).
     fn post(
         &mut self,
         _tid: usize,
         _ev: FlatEvent,
         _core: usize,
-        _missed: bool,
+        _misses: u32,
         _machine: &Machine,
         _cluster: &Cluster,
         _now: f64,
@@ -200,11 +206,15 @@ pub trait Policy {
     /// that hit in the L1-I**, its `pre` and `post` both return
     /// [`Action::Continue`] and mutate no state — *except* at the single
     /// block address reported by [`Policy::watch_addr`], where `pre` is
-    /// still consulted per-block. Under that contract the engine executes
-    /// whole instruction runs inside the machine, consulting the policy
-    /// only at watched blocks and on misses, and the replay is
-    /// bit-identical to per-block execution. Policies that react to
-    /// arbitrary instruction hits must keep the default `false`.
+    /// still consulted per-block — and that instruction *misses* below
+    /// its [`Policy::miss_budget`] only accumulate: one `post` with
+    /// `misses = m` leaves the same state as `m` per-miss calls that all
+    /// return [`Action::Continue`]. Under that contract the engine executes
+    /// whole instruction runs inside the machine, consulting `pre` only at
+    /// watched blocks and `post` once per walk that missed (at the latest
+    /// at the budget-th miss), and the replay is bit-identical to
+    /// per-block execution. Policies that react to arbitrary instruction
+    /// hits must keep the default `false`.
     fn segment_granular(&self) -> bool {
         false
     }
@@ -233,15 +243,17 @@ pub trait Policy {
         false
     }
 
-    /// Does `post` react to instruction *misses*? Miss-driven policies
-    /// (STREX, SLICC) must keep the default `true` so the segment engine
-    /// stops at every miss; policies indifferent to misses (Baseline,
-    /// ADDICT — whose `post` only acts on markers) return `false`, letting
-    /// the machine execute entire runs, miss servicing included, without
-    /// ever leaving its fast loop. Only consulted when
-    /// [`Policy::segment_granular`] is `true`.
-    fn observes_misses(&self) -> bool {
-        true
+    /// L1-I misses `tid` may take in one segment-granular walk before
+    /// `post` must see one: the walk stops at the budget-th miss, the
+    /// first miss at which the policy may act. Counting policies (STREX,
+    /// SLICC) return the misses left to their threshold; the default `1`
+    /// consults `post` at every miss. `u32::MAX` means `post` never acts
+    /// on misses (Baseline, ADDICT, HTMX): entire runs, miss servicing
+    /// included, execute inside the machine and `post` is not called for
+    /// them. Only consulted when [`Policy::segment_granular`] is `true`;
+    /// must be at least 1.
+    fn miss_budget(&self, _tid: usize) -> u32 {
+        1
     }
 }
 
@@ -484,7 +496,6 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
     );
 
     let use_segment = cfg.segment_exec && policy.segment_granular();
-    let stop_on_miss = policy.observes_misses();
     let use_data_runs = cfg.data_run_exec && policy.data_run_granular();
     // One run buffer for the whole replay: gather grows it to the longest
     // data run once, after which the hot loop is allocation-free.
@@ -561,8 +572,9 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
             // Segment-granular fast path: when the policy upholds the
             // [`Policy::segment_granular`] contract, whole instruction runs
             // execute inside the machine with the policy consulted only at
-            // watched blocks (split out of the run below) and on L1-I
-            // misses. Bit-identical to the per-block path.
+            // watched blocks (split out of the run below) and after walks
+            // that missed — at the latest at the budget-th miss. Bit-identical
+            // to the per-block path.
             if use_segment {
                 if let Fetched::Run {
                     block: seg_start,
@@ -580,22 +592,24 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
                         }
                     }
                     if limit > 0 {
-                        let out = machine.fetch_instr_run(
+                        let budget = policy.miss_budget(tid);
+                        let out = machine.fetch_instr_run_budgeted(
                             CoreId(core),
                             seg_start,
                             limit,
                             ipb,
                             now,
-                            stop_on_miss,
+                            budget,
                         );
                         now = out.now;
                         traces.advance_run(tid, &mut threads[tid].cursor, rem, out.blocks);
-                        if out.missed_last {
+                        if budget != u32::MAX && out.misses > 0 {
                             let ev = FlatEvent::Instr {
                                 block: BlockAddr(seg_start.0 + u64::from(out.blocks) - 1),
                                 n_instr: ipb,
                             };
-                            let action = policy.post(tid, ev, core, true, machine, &cluster, now);
+                            let action =
+                                policy.post(tid, ev, core, out.misses, machine, &cluster, now);
                             if apply_action!(action) {
                                 break;
                             }
@@ -677,9 +691,9 @@ pub fn run_des_admitted<T: TraceSet + ?Sized, P: Policy>(
             } else {
                 traces.advance_event(tid, &mut threads[tid].cursor, ev);
             }
-            let missed = machine.stats().cores[core].l1i_misses > miss_before;
+            let misses = (machine.stats().cores[core].l1i_misses - miss_before) as u32;
 
-            let post_action = policy.post(tid, ev, core, missed, machine, &cluster, now);
+            let post_action = policy.post(tid, ev, core, misses, machine, &cluster, now);
             if apply_action!(post_action) {
                 break;
             }
@@ -860,7 +874,7 @@ mod tests {
             tid: usize,
             ev: FlatEvent,
             _core: usize,
-            _missed: bool,
+            _misses: u32,
             _machine: &Machine,
             _cluster: &Cluster,
             _now: f64,
@@ -910,7 +924,7 @@ mod tests {
             tid: usize,
             ev: FlatEvent,
             core: usize,
-            _missed: bool,
+            _misses: u32,
             _machine: &Machine,
             _cluster: &Cluster,
             _now: f64,

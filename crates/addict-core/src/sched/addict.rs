@@ -160,7 +160,7 @@ impl Policy for AddictPolicy<'_> {
         tid: usize,
         ev: FlatEvent,
         core: usize,
-        _missed: bool,
+        _misses: u32,
         _machine: &Machine,
         cluster: &Cluster,
         now: f64,
@@ -203,8 +203,8 @@ impl Policy for AddictPolicy<'_> {
         true
     }
 
-    fn observes_misses(&self) -> bool {
-        false
+    fn miss_budget(&self, _tid: usize) -> u32 {
+        u32::MAX
     }
 
     // Migration points are *instruction* addresses: `pre` ignores data

@@ -22,8 +22,8 @@ impl Policy for NoMovement {
         true
     }
 
-    fn observes_misses(&self) -> bool {
-        false
+    fn miss_budget(&self, _tid: usize) -> u32 {
+        u32::MAX
     }
 
     // ...and whole data runs execute run-granularly for the same reason.

@@ -197,8 +197,8 @@ impl Policy for HtmxPolicy {
         true
     }
 
-    fn observes_misses(&self) -> bool {
-        false
+    fn miss_budget(&self, _tid: usize) -> u32 {
+        u32::MAX
     }
 
     // Every data event must reach `pre` (peek + record): the data-run

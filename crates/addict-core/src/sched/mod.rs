@@ -92,6 +92,16 @@ impl std::str::FromStr for SchedulerKind {
     }
 }
 
+/// The [`Policy::miss_budget`](crate::replay::Policy::miss_budget) of a
+/// miss-counting policy: the misses left before `count` reaches
+/// `threshold`, at least 1, and never the unlimited `u32::MAX` (which
+/// would stop `post` from counting).
+pub(crate) fn misses_left(threshold: u64, count: u64) -> u32 {
+    threshold
+        .saturating_sub(count)
+        .clamp(1, u64::from(u32::MAX - 1)) as u32
+}
+
 /// Replay `traces` under the chosen scheduler.
 ///
 /// ADDICT requires the migration map produced by Algorithm 1 over a

@@ -17,6 +17,7 @@ use addict_trace::TraceSet;
 use crate::replay::{
     batch_order, run_des_admitted, Action, Admission, Cluster, Policy, ReplayConfig, ReplayResult,
 };
+use crate::sched::misses_left;
 
 struct SliccPolicy {
     fill_threshold: u64,
@@ -37,7 +38,7 @@ impl Policy for SliccPolicy {
         tid: usize,
         ev: FlatEvent,
         core: usize,
-        missed: bool,
+        misses: u32,
         machine: &Machine,
         cluster: &Cluster,
         now: f64,
@@ -45,10 +46,10 @@ impl Policy for SliccPolicy {
         let FlatEvent::Instr { block, .. } = ev else {
             return Action::Continue;
         };
-        if !missed {
+        if misses == 0 {
             return Action::Continue;
         }
-        self.misses_since_arrival[tid] += 1;
+        self.misses_since_arrival[tid] += u64::from(misses);
         if self.misses_since_arrival[tid] < self.fill_threshold {
             return Action::Continue;
         }
@@ -84,6 +85,13 @@ impl Policy for SliccPolicy {
     // always reports: safe for segment execution.
     fn segment_granular(&self) -> bool {
         true
+    }
+
+    // The counter resets on every migration and `post` reads nothing else
+    // below the threshold, so the walk may absorb the misses before the
+    // one that triggers the move (whose block picks the destination).
+    fn miss_budget(&self, tid: usize) -> u32 {
+        misses_left(self.fill_threshold, self.misses_since_arrival[tid])
     }
 
     // SLICC chases *instruction* cache collectives: `post` ignores data

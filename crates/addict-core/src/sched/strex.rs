@@ -15,6 +15,7 @@ use addict_trace::event::FlatEvent;
 use addict_trace::TraceSet;
 
 use crate::replay::{batch_order, run_des, Action, Cluster, Policy, ReplayConfig, ReplayResult};
+use crate::sched::misses_left;
 
 struct StrexPolicy {
     threshold: u64,
@@ -34,19 +35,27 @@ impl Policy for StrexPolicy {
         tid: usize,
         ev: FlatEvent,
         core: usize,
-        missed: bool,
+        misses: u32,
         _machine: &Machine,
         cluster: &Cluster,
         _now: f64,
     ) -> Action {
-        if !matches!(ev, FlatEvent::Instr { .. }) || !missed {
+        if !matches!(ev, FlatEvent::Instr { .. }) || misses == 0 {
             return Action::Continue;
         }
-        self.misses_since_resume[tid] += 1;
-        if self.misses_since_resume[tid] >= self.threshold && !cluster.queues[core].is_empty() {
+        self.misses_since_resume[tid] += u64::from(misses);
+        if self.misses_since_resume[tid] < self.threshold {
+            return Action::Continue;
+        }
+        if !cluster.queues[core].is_empty() {
             // A batch peer is waiting: hand over the stratum.
             return Action::Yield;
         }
+        // No peer waits, and none can arrive while this thread holds the
+        // core (every thread is admitted up front and only yields refill a
+        // queue), so the thread runs to its end here. Restarting the count
+        // changes no decision and spares `post` a consultation per miss.
+        self.misses_since_resume[tid] = 0;
         Action::Continue
     }
 
@@ -60,8 +69,15 @@ impl Policy for StrexPolicy {
         true
     }
 
+    // The counter resets on every yield and `post` reads nothing else
+    // until it reaches the threshold, so the walk may absorb the misses
+    // before that one.
+    fn miss_budget(&self, tid: usize) -> u32 {
+        misses_left(self.threshold, self.misses_since_resume[tid])
+    }
+
     // Data events never reach the miss counter (`post` filters them out
-    // before looking at `missed`) and `pre` is the default no-op: safe for
+    // before looking at `misses`) and `pre` is the default no-op: safe for
     // run-granular data execution.
     fn data_run_granular(&self) -> bool {
         true

@@ -130,14 +130,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Flat/segment equivalence on generated mixes, all five schedulers,
-    /// varying core counts and batch sizes.
+    /// varying core counts and batch sizes. Small STREX/SLICC thresholds
+    /// put their miss budgets' expiry mid-run, across several runs, and
+    /// at thresholds reached with no peer waiting.
     #[test]
     fn segment_replay_is_bit_identical(
         traces in prop::collection::vec(arb_trace(), 1..16),
         cores in 2usize..8,
+        strex_miss_threshold in 1u64..10,
+        slicc_fill_threshold in 1u64..10,
     ) {
         let cfg = ReplayConfig {
             sim: SimConfig::paper_default().with_cores(cores),
+            strex_miss_threshold,
+            slicc_fill_threshold,
             ..ReplayConfig::paper_default()
         }
         .with_batch_size(cores);
@@ -151,10 +157,18 @@ proptest! {
     #[test]
     fn segment_replay_matches_with_prefetcher(
         traces in prop::collection::vec(arb_trace(), 1..8),
+        strex_miss_threshold in 1u64..10,
+        slicc_fill_threshold in 1u64..10,
     ) {
         let mut sim = SimConfig::paper_default().with_cores(4);
         sim.l1i_next_line_prefetch = true;
-        let cfg = ReplayConfig { sim, ..ReplayConfig::paper_default() }.with_batch_size(4);
+        let cfg = ReplayConfig {
+            sim,
+            strex_miss_threshold,
+            slicc_fill_threshold,
+            ..ReplayConfig::paper_default()
+        }
+        .with_batch_size(4);
         for kind in SchedulerKind::ALL {
             assert_equivalent(kind, &traces, &cfg);
         }

@@ -16,17 +16,17 @@ use crate::timing::TimingModel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoreId(pub usize);
 
-/// Result of [`Machine::fetch_instr_run`]: how far a segment-granular
-/// instruction walk progressed and where the clock landed.
+/// Result of [`Machine::fetch_instr_run_budgeted`]: how far a
+/// segment-granular instruction walk progressed and where the clock landed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOutcome {
-    /// Blocks executed (hits plus, when `missed_last`, one serviced miss).
+    /// Blocks executed (hits and serviced misses).
     pub blocks: u16,
     /// The per-core clock after charging every executed block.
     pub now: f64,
-    /// The final executed block missed the L1-I (drivers consult their
-    /// policy there; miss-free walks never leave the fast loop).
-    pub missed_last: bool,
+    /// L1-I misses serviced by the walk. Equal to the miss budget exactly
+    /// when the walk stopped there, on the final executed block.
+    pub misses: u32,
 }
 
 /// A multicore machine executing block-granularity memory traces.
@@ -117,32 +117,51 @@ impl Machine {
         base + stall
     }
 
-    /// Execute up to `n_blocks` *consecutive* instruction blocks starting at
-    /// `start` on `core`, charging `ipb` instructions per block — the
-    /// segment-granular replay hot path.
-    ///
-    /// Leading L1-I hits are consumed in one tight loop inside the cache
-    /// (hoisted set arithmetic, no per-block dispatch); misses are serviced
-    /// through the ordinary [`Machine::fetch_instr`] path. With
-    /// `stop_on_miss`, the first serviced miss ends the run so the driver
-    /// can consult its scheduling policy; without it (policies indifferent
-    /// to misses) the walk continues to the end of the run without ever
-    /// leaving the machine. All statistics and the returned clock are
-    /// bit-identical to issuing the same blocks through per-block
-    /// [`Machine::fetch_instr`] calls and accumulating `now += cycles` per
-    /// block.
+    /// [`Machine::fetch_instr_run_budgeted`] with a budget of one miss
+    /// (`stop_on_miss`) or none (`u32::MAX`).
     pub fn fetch_instr_run(
         &mut self,
         core: CoreId,
         start: BlockAddr,
         n_blocks: u16,
         ipb: u16,
-        mut now: f64,
+        now: f64,
         stop_on_miss: bool,
     ) -> RunOutcome {
+        let budget = if stop_on_miss { 1 } else { u32::MAX };
+        self.fetch_instr_run_budgeted(core, start, n_blocks, ipb, now, budget)
+    }
+
+    /// Execute up to `n_blocks` *consecutive* instruction blocks starting at
+    /// `start` on `core`, charging `ipb` instructions per block — the
+    /// segment-granular replay hot path.
+    ///
+    /// Leading L1-I hits are consumed in one tight loop inside the cache
+    /// (hoisted set arithmetic, no per-block dispatch); misses are serviced
+    /// through the ordinary [`Machine::fetch_instr`] path. The walk ends at
+    /// the `miss_budget`-th serviced miss, so the driver can consult its
+    /// scheduling policy exactly where the policy may act; otherwise it
+    /// runs to the end of the run without leaving the machine. `u32::MAX`
+    /// is an unlimited budget (policies indifferent to misses). The same
+    /// budget bounds the block-by-block walk taken when the next-line
+    /// prefetcher is on. All statistics and the returned clock are
+    /// bit-identical to issuing the same blocks through per-block
+    /// [`Machine::fetch_instr`] calls and accumulating `now += cycles` per
+    /// block.
+    pub fn fetch_instr_run_budgeted(
+        &mut self,
+        core: CoreId,
+        start: BlockAddr,
+        n_blocks: u16,
+        ipb: u16,
+        mut now: f64,
+        miss_budget: u32,
+    ) -> RunOutcome {
         debug_assert!(n_blocks > 0, "empty instruction run");
+        debug_assert!(miss_budget > 0, "a walk must be allowed one miss");
         let base = self.timing.execute(u64::from(ipb));
         let mut done: u16 = 0;
+        let mut misses: u32 = 0;
         if !self.hierarchy.has_next_line_prefetch() {
             loop {
                 let hits = self.hierarchy.l1i_run_hits(
@@ -164,11 +183,7 @@ impl Machine {
                     done += hits;
                 }
                 if done == n_blocks {
-                    return RunOutcome {
-                        blocks: done,
-                        now,
-                        missed_last: false,
-                    };
+                    break;
                 }
                 // Service one miss. The walk already proved the L1-I miss,
                 // so fill directly and charge exactly what per-block
@@ -188,42 +203,30 @@ impl Machine {
                 c.instr_stall_cycles += stall;
                 now += base + stall;
                 done += 1;
-                if stop_on_miss {
-                    return RunOutcome {
-                        blocks: done,
-                        now,
-                        missed_last: true,
-                    };
-                }
-                if done == n_blocks {
-                    return RunOutcome {
-                        blocks: done,
-                        now,
-                        missed_last: false,
-                    };
+                misses += 1;
+                if misses == miss_budget || done == n_blocks {
+                    break;
                 }
             }
-        }
-        // Next-line prefetcher enabled: prefetch issue is per-fetch state,
-        // so walk block-by-block through the full path (still skipping all
-        // per-block driver work, which is where most replay time goes).
-        while done < n_blocks {
-            let block = BlockAddr(start.0 + u64::from(done));
-            let misses_before = self.stats.cores[core.0].l1i_misses;
-            now += self.fetch_instr(core, block, u64::from(ipb));
-            done += 1;
-            if stop_on_miss && self.stats.cores[core.0].l1i_misses > misses_before {
-                return RunOutcome {
-                    blocks: done,
-                    now,
-                    missed_last: true,
-                };
+        } else {
+            // Next-line prefetcher enabled: prefetch issue is per-fetch
+            // state, so walk block-by-block through the full path (still
+            // skipping all per-block driver work, which is where most
+            // replay time goes).
+            while done < n_blocks && misses < miss_budget {
+                let block = BlockAddr(start.0 + u64::from(done));
+                let misses_before = self.stats.cores[core.0].l1i_misses;
+                now += self.fetch_instr(core, block, u64::from(ipb));
+                done += 1;
+                if self.stats.cores[core.0].l1i_misses > misses_before {
+                    misses += 1;
+                }
             }
         }
         RunOutcome {
             blocks: done,
             now,
-            missed_last: false,
+            misses,
         }
     }
 
@@ -447,41 +450,59 @@ mod tests {
         assert_eq!(m.stats().invalidations_received(), 2);
     }
 
-    /// Drive `n_blocks` from `start` through the segment path on one
-    /// machine and the per-block path on another; both must agree bit-wise.
-    fn run_both(
-        start: u64,
-        n_blocks: u16,
-        prefetch: bool,
-        stop_on_miss: bool,
-    ) -> (Machine, Machine) {
+    /// Drive `n_blocks` from `start` through budgeted segment walks on one
+    /// machine and the per-block path on another; both must agree bit-wise,
+    /// and every walk must stop exactly at its `budget`-th miss (or at the
+    /// end of the run) and report the misses it serviced.
+    fn run_both(start: u64, n_blocks: u16, prefetch: bool, budget: u32) -> (Machine, Machine) {
         let mut cfg = SimConfig::paper_default().with_cores(2);
         cfg.l1i_next_line_prefetch = prefetch;
         let mut seg = Machine::new(&cfg);
         let mut flat = Machine::new(&cfg);
-        // Warm a prefix so the walk sees hits and misses.
+        // Warm a scattered subset so the walk sees hits between misses.
+        // The first block stays cold: with the next-line prefetcher a
+        // sequential run misses at most there.
         for m in [&mut seg, &mut flat] {
-            for i in 0..6u64 {
+            for i in (1..6u64).chain([9, 10, 14, 21, 22, 23, 30]) {
                 m.fetch_instr(CoreId(0), BlockAddr(start + i), 10);
             }
         }
+        let mut now_flat = 1.5f64;
+        let mut missed = Vec::with_capacity(usize::from(n_blocks));
+        for i in 0..u64::from(n_blocks) {
+            let before = flat.stats().l1i_misses();
+            now_flat += flat.fetch_instr(CoreId(0), BlockAddr(start + i), 10);
+            missed.push(flat.stats().l1i_misses() > before);
+        }
+        assert!(missed.iter().any(|&m| m) && missed.iter().any(|&m| !m));
         let mut now_seg = 1.5f64;
         let mut done = 0u16;
         while done < n_blocks {
-            let out = seg.fetch_instr_run(
+            let out = seg.fetch_instr_run_budgeted(
                 CoreId(0),
                 BlockAddr(start + u64::from(done)),
                 n_blocks - done,
                 10,
                 now_seg,
-                stop_on_miss,
+                budget,
             );
+            // Where the per-block path says the budget-th miss falls.
+            let rest = &missed[usize::from(done)..];
+            let stop = rest
+                .iter()
+                .enumerate()
+                .filter(|(_, &m)| m)
+                .nth(budget.saturating_sub(1) as usize)
+                .map_or(rest.len(), |(i, _)| i + 1);
+            assert_eq!(
+                usize::from(out.blocks),
+                stop,
+                "walk from {done} stopped early/late"
+            );
+            let walked = rest[..stop].iter().filter(|&&m| m).count();
+            assert_eq!(out.misses as usize, walked, "misses misreported");
             now_seg = out.now;
             done += out.blocks;
-        }
-        let mut now_flat = 1.5f64;
-        for i in 0..u64::from(n_blocks) {
-            now_flat += flat.fetch_instr(CoreId(0), BlockAddr(start + i), 10);
         }
         assert_eq!(now_seg.to_bits(), now_flat.to_bits(), "clocks diverged");
         (seg, flat)
@@ -490,12 +511,12 @@ mod tests {
     #[test]
     fn fetch_instr_run_matches_per_block_path() {
         for prefetch in [false, true] {
-            for stop_on_miss in [false, true] {
-                let (seg, flat) = run_both(0x4000, 40, prefetch, stop_on_miss);
+            for budget in [1, 2, 5, u32::MAX] {
+                let (seg, flat) = run_both(0x4000, 40, prefetch, budget);
                 assert_eq!(
                     format!("{:?}", seg.stats()),
                     format!("{:?}", flat.stats()),
-                    "stats diverged (prefetch={prefetch}, stop_on_miss={stop_on_miss})"
+                    "stats diverged (prefetch={prefetch}, budget={budget})"
                 );
                 assert_eq!(seg.prefetches_issued(), flat.prefetches_issued());
                 // LRU state must agree too.
@@ -513,12 +534,16 @@ mod tests {
             m.fetch_instr(CoreId(0), BlockAddr(i), 10);
         }
         let out = m.fetch_instr_run(CoreId(0), BlockAddr(0), 16, 10, 0.0, true);
-        assert!(out.missed_last);
-        assert_eq!(out.blocks, 7);
+        assert_eq!((out.blocks, out.misses), (7, 1));
         // Entirely warm run: no miss, full length.
         let out = m.fetch_instr_run(CoreId(0), BlockAddr(0), 7, 10, 0.0, true);
-        assert!(!out.missed_last);
-        assert_eq!(out.blocks, 7);
+        assert_eq!((out.blocks, out.misses), (7, 0));
+        // A budget of 3 absorbs two misses and stops at the third.
+        let out = m.fetch_instr_run_budgeted(CoreId(0), BlockAddr(0), 16, 10, 0.0, 3);
+        assert_eq!((out.blocks, out.misses), (10, 3));
+        // A run that ends on its budget-th miss.
+        let out = m.fetch_instr_run_budgeted(CoreId(0), BlockAddr(0), 12, 10, 0.0, 2);
+        assert_eq!((out.blocks, out.misses), (12, 2));
     }
 
     #[test]
@@ -529,8 +554,7 @@ mod tests {
         }
         // 6 hits + 10 cold misses, all in one call.
         let out = m.fetch_instr_run(CoreId(0), BlockAddr(0), 16, 10, 0.0, false);
-        assert!(!out.missed_last);
-        assert_eq!(out.blocks, 16);
+        assert_eq!((out.blocks, out.misses), (16, 10));
         assert_eq!(m.stats().l1i_misses(), 6 + 10);
     }
 
